@@ -1,14 +1,9 @@
 // google-benchmark micro-benchmarks of the framework's primitives: the
 // costs behind one GA evaluation (transform, simulate, accuracy, surrogate
 // predict) and the search itself. These bound the wall-clock of the
-// paper-scale 12k-evaluation search. A custom main() additionally times the
-// scalar vs SoA batch-characterizer paths head to head and emits
-// ns/sublayer into BENCH.json (informational, not gated).
+// paper-scale 12k-evaluation search.
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstdio>
 
 #include "bench_common.h"
 #include "core/baselines.h"
@@ -16,7 +11,6 @@
 #include "core/evolutionary.h"
 #include "core/search_space.h"
 #include "nn/models.h"
-#include "perf/batch_characterizer.h"
 #include "perf/calibration.h"
 #include "surrogate/dataset.h"
 #include "surrogate/predictor.h"
@@ -114,103 +108,6 @@ void bm_importance_profile(benchmark::State& state) {
 }
 BENCHMARK(bm_importance_profile);
 
-// --- scalar vs SoA batch characterization --------------------------------
-
-/// A batch of resolved stage plans from random configurations (the shape
-/// `evaluator::evaluate_batch` feeds the SoA characterizer).
-struct plan_batch {
-  std::vector<core::dynamic_network> dyns;
-  std::vector<const perf::stage_plan*> plans;
-  std::size_t cells = 0;  ///< total (stage, group) sublayer cells
-
-  explicit plan_batch(std::size_t n) {
-    auto& f = fx();
-    const core::search_space space{f.net, f.plat};
-    util::rng gen{17};
-    dyns.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      dyns.push_back(core::transform(f.net, f.groups, f.ranking,
-                                     space.decode(space.random(gen)), f.plat));
-    for (const core::dynamic_network& d : dyns) {
-      plans.push_back(&d.plan);
-      cells += d.plan.stages() * d.plan.groups();
-    }
-  }
-};
-
-plan_batch& shared_batch() {
-  static plan_batch b{32};
-  return b;
-}
-
-void bm_batch_characterize_scalar(benchmark::State& state) {
-  auto& f = fx();
-  const plan_batch& b = shared_batch();
-  for (auto _ : state) {
-    for (const perf::stage_plan* p : b.plans) {
-      const perf::execution_result exec = perf::simulate(f.plat, *p);
-      benchmark::DoNotOptimize(perf::characterize_system(exec, *p, f.plat));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * b.cells));
-}
-BENCHMARK(bm_batch_characterize_scalar);
-
-void bm_batch_characterize_soa(benchmark::State& state) {
-  auto& f = fx();
-  const plan_batch& b = shared_batch();
-  perf::batch_characterizer characterizer{f.plat, {}};
-  std::vector<perf::batch_profile> out(b.plans.size());
-  for (auto _ : state) {
-    characterizer.run(b.plans, true, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * b.cells));
-}
-BENCHMARK(bm_batch_characterize_soa);
-
-/// Head-to-head ns/sublayer for BENCH.json (informational; the gbench
-/// counters above give the same numbers interactively).
-void emit_soa_ns_per_sublayer() {
-  auto& f = fx();
-  const plan_batch& b = shared_batch();
-  constexpr int kReps = 50;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kReps; ++r)
-    for (const perf::stage_plan* p : b.plans) {
-      const perf::execution_result exec = perf::simulate(f.plat, *p);
-      benchmark::DoNotOptimize(perf::characterize_system(exec, *p, f.plat));
-    }
-  const double scalar_ns = std::chrono::duration<double, std::nano>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count() /
-                           static_cast<double>(kReps * b.cells);
-
-  perf::batch_characterizer characterizer{f.plat, {}};
-  std::vector<perf::batch_profile> out(b.plans.size());
-  const auto t1 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kReps; ++r) characterizer.run(b.plans, true, out);
-  const double soa_ns = std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t1)
-                            .count() /
-                        static_cast<double>(kReps * b.cells);
-
-  std::printf("\nbatch characterization: scalar %.1f ns/sublayer, SoA %.1f ns/sublayer (%.2fx)\n",
-              scalar_ns, soa_ns, scalar_ns / soa_ns);
-  bench::json_reporter json{"micro_primitives"};
-  json.metric("scalar_ns_per_sublayer", scalar_ns);
-  json.metric("soa_ns_per_sublayer", soa_ns);
-  json.metric("soa_cell_speedup", scalar_ns / soa_ns);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  emit_soa_ns_per_sublayer();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -37,8 +37,7 @@ evaluation_engine::evaluation_engine(const evaluator& eval, engine_options opt)
   state_ = std::make_shared<const epoch_state>(epoch_state{&eval, 0});
   if (opt_.capacity > 0) shard_capacity_ = opt_.capacity / shards_.size();
   if (opt_.threads > 1)
-    pool_ = std::make_unique<util::thread_pool>(
-        util::pool_options{opt_.threads, opt_.pin_threads});
+    pool_ = std::make_unique<util::thread_pool>(opt_.threads);
 }
 
 std::shared_ptr<const evaluation_engine::epoch_state> evaluation_engine::current() const {
@@ -304,59 +303,34 @@ void evaluation_engine::run_owner(batch_plan& plan, std::size_t group_index) {
   }
 }
 
-std::vector<std::span<const std::size_t>> evaluation_engine::owner_chunks(
-    const batch_plan& plan) const {
-  std::vector<std::span<const std::size_t>> chunks;
-  const std::span<const std::size_t> owners{plan.owners};
-  if (owners.empty()) return chunks;
-  if (!opt_.soa_batch) {
-    // Scalar dispatch: one task per owner, balanced by pool work-stealing.
-    chunks.reserve(owners.size());
-    for (std::size_t k = 0; k < owners.size(); ++k) chunks.push_back(owners.subspan(k, 1));
-    return chunks;
+void evaluation_engine::run_tasks(std::size_t n,
+                                  const std::function<void(std::size_t)>& task) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&task, &errors](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  if (pool_ && n > 1) {
+    // Capturing stack state is safe: `run` never throws, so the countdown
+    // always completes and we never return while a task is live.
+    std::promise<void> done;
+    std::future<void> all_done = done.get_future();
+    std::atomic<std::size_t> remaining{n};
+    for (std::size_t i = 0; i < n; ++i) {
+      pool_->submit([&run, i, &remaining, &done] {
+        run(i);
+        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) done.set_value();
+      });
+    }
+    all_done.wait();
+  } else {
+    for (std::size_t i = 0; i < n; ++i) run(i);
   }
-  // Batched dispatch: as few chunks as keep every worker busy, so the SoA
-  // gather amortizes over the largest possible batches.
-  const std::size_t n_chunks = pool_ ? std::min(owners.size(), pool_->size()) : 1;
-  chunks.reserve(n_chunks);
-  const std::size_t stride = owners.size() / n_chunks;
-  const std::size_t extra = owners.size() % n_chunks;
-  std::size_t begin = 0;
-  for (std::size_t k = 0; k < n_chunks; ++k) {
-    const std::size_t len = stride + (k < extra ? 1 : 0);
-    chunks.push_back(owners.subspan(begin, len));
-    begin += len;
-  }
-  return chunks;
-}
-
-void evaluation_engine::run_owner_chunk(batch_plan& plan,
-                                        std::span<const std::size_t> group_indices) {
-  if (!opt_.soa_batch || group_indices.size() == 1) {
-    for (const std::size_t gi : group_indices) run_owner(plan, gi);
-    return;
-  }
-  std::vector<const configuration*> reps;
-  reps.reserve(group_indices.size());
-  for (const std::size_t gi : group_indices)
-    reps.push_back(&plan.configs[plan.groups[gi].rep]);
-
-  std::vector<evaluation> fresh;
-  try {
-    // The batch's captured evaluator, exactly as run_owner uses it.
-    fresh = plan.state->eval->evaluate_batch(reps);
-  } catch (...) {
-    // All-or-nothing batch failure loses per-element attribution; re-run
-    // scalar so only the actually-failing candidates park exceptions (and
-    // the healthy ones still publish). The double evaluation only happens
-    // on this error path.
-    for (const std::size_t gi : group_indices) run_owner(plan, gi);
-    return;
-  }
-  for (std::size_t k = 0; k < group_indices.size(); ++k) {
-    batch_plan::group& g = plan.groups[group_indices[k]];
-    complete_owner(g.key, plan.configs[g.rep], plan.state->epoch, g.promise, fresh[k]);
-  }
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 void evaluation_engine::finish_plan(batch_plan& plan) {
@@ -368,44 +342,19 @@ void evaluation_engine::finish_plan(batch_plan& plan) {
 
 std::vector<evaluation> evaluation_engine::evaluate_batch(
     std::span<const configuration> configs) {
-  const std::size_t n = configs.size();
   if (!opt_.memoize) {
     const std::shared_ptr<const epoch_state> st = current();
-    std::vector<evaluation> out(n);
-    misses_.fetch_add(n, std::memory_order_relaxed);
-    if (pool_ && n > 1) {
-      pool_->parallel_for(n, [&](std::size_t i) { out[i] = st->eval->evaluate(configs[i]); });
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = st->eval->evaluate(configs[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i) fire_tap(configs[i], out[i]);
+    std::vector<evaluation> out(configs.size());
+    misses_.fetch_add(configs.size(), std::memory_order_relaxed);
+    run_tasks(configs.size(), [&](std::size_t i) { out[i] = st->eval->evaluate(configs[i]); });
+    for (std::size_t i = 0; i < configs.size(); ++i) fire_tap(configs[i], out[i]);
     return out;
   }
 
   batch_plan plan;
   plan.configs = configs;  // view of the caller's span: no copy on this path
   plan_batch(plan);
-  const std::vector<std::span<const std::size_t>> chunks = owner_chunks(plan);
-  if (pool_ && chunks.size() > 1) {
-    // Per-batch countdown, NOT parallel_for: its wait_idle() is a
-    // whole-pool barrier, and other batches (async island generations,
-    // racing requests) may keep this shared pool busy indefinitely. Only
-    // this batch's own tasks are awaited. Capturing stack state is safe:
-    // run_owner_chunk never throws, so the countdown always completes and
-    // we never return while a task is live.
-    std::promise<void> done;
-    std::future<void> all_done = done.get_future();
-    std::atomic<std::size_t> remaining{chunks.size()};
-    for (const std::span<const std::size_t> chunk : chunks) {
-      pool_->submit([this, &plan, chunk, &remaining, &done] {
-        run_owner_chunk(plan, chunk);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) done.set_value();
-      });
-    }
-    all_done.wait();
-  } else {
-    for (const std::span<const std::size_t> chunk : chunks) run_owner_chunk(plan, chunk);
-  }
+  run_tasks(plan.owners.size(), [&](std::size_t k) { run_owner(plan, plan.owners[k]); });
   finish_plan(plan);
   return std::move(plan.out);
 }
@@ -439,8 +388,7 @@ std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
     // No workers: evaluate inline (the documented degenerate mode). Joins
     // may block on foreign threads, but only this caller waits — never a
     // pool worker — and failures still surface at get().
-    for (const std::span<const std::size_t> chunk : owner_chunks(*plan))
-      run_owner_chunk(*plan, chunk);
+    for (const std::size_t gi : plan->owners) run_owner(*plan, gi);
     std::promise<std::vector<evaluation>> done;
     std::future<std::vector<evaluation>> fut = done.get_future();
     try {
@@ -459,25 +407,21 @@ std::future<std::vector<evaluation>> evaluation_engine::evaluate_batch_async(
   // overlapping batches can never deadlock the pool however small it is.
   struct async_state {
     std::shared_ptr<batch_plan> plan;
-    /// Chunk spans view plan->owners, which plan_batch froze; keeping them
-    /// here keeps the pool tasks' captures trivially copyable.
-    std::vector<std::span<const std::size_t>> chunks;
     std::promise<void> owners_done;
     std::shared_future<void> done_future;
     std::atomic<std::size_t> remaining{0};
   };
   auto state = std::make_shared<async_state>();
   state->plan = plan;
-  state->chunks = owner_chunks(*plan);
   state->done_future = state->owners_done.get_future().share();
-  state->remaining.store(state->chunks.size(), std::memory_order_relaxed);
+  state->remaining.store(plan->owners.size(), std::memory_order_relaxed);
 
-  if (state->chunks.empty()) {
+  if (plan->owners.empty()) {
     state->owners_done.set_value();
   } else {
-    for (const std::span<const std::size_t> chunk : state->chunks) {
-      pool_->submit([this, state, chunk] {
-        run_owner_chunk(*state->plan, chunk);
+    for (const std::size_t gi : plan->owners) {
+      pool_->submit([this, state, gi] {
+        run_owner(*state->plan, gi);
         if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
           state->owners_done.set_value();
       });

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/objective.h"
-#include "perf/batch_characterizer.h"
 #include "perf/characterizer.h"
 #include "util/strings.h"
 
@@ -103,40 +102,7 @@ std::vector<evaluation> evaluator::evaluate_batch(
     std::span<const configuration* const> configs) const {
   std::vector<evaluation> out;
   out.reserve(configs.size());
-  if (opt_.predictor != nullptr) {
-    // Surrogate costs come from per-cell GBT queries; there is no batched
-    // form, so this path is the scalar pipeline verbatim.
-    for (const configuration* config : configs) out.push_back(evaluate(*config));
-    return out;
-  }
-
-  // SoA-characterize bounded chunks rather than the whole batch at once:
-  // keeping only a handful of dynamic_networks live preserves the cache
-  // locality the scalar loop gets from freeing each one immediately, while
-  // the flat tau/energy loop still amortizes over a chunk. Per-plan results
-  // are independent, so the chunk size cannot affect bit-identity. The
-  // characterizer is per-call (arena scratch is mutable; the evaluator
-  // stays const/thread-safe) and its arena capacity persists across chunks.
-  constexpr std::size_t kChunk = 16;
-  perf::batch_characterizer characterizer{sim_plat(), opt_.model, scenario_ctx()};
-  std::vector<dynamic_network> dyns;
-  std::vector<const perf::stage_plan*> plans;
-  std::vector<perf::batch_profile> profiles;
-  for (std::size_t base = 0; base < configs.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, configs.size() - base);
-    dyns.clear();
-    plans.clear();
-    for (std::size_t k = 0; k < n; ++k) {
-      dyns.push_back(
-          transform(*net_, groups_, ranking_, *configs[base + k], *plat_, opt_.reorder));
-      apply_dvfs_caps(dyns.back().plan);
-    }
-    for (const dynamic_network& dyn : dyns) plans.push_back(&dyn.plan);
-    profiles.assign(n, {});
-    characterizer.run(plans, opt_.count_idle_power, profiles);
-    for (std::size_t k = 0; k < n; ++k)
-      out.push_back(finish(*configs[base + k], dyns[k], profiles[k].exec, profiles[k].profile));
-  }
+  for (const configuration* config : configs) out.push_back(evaluate(*config));
   return out;
 }
 

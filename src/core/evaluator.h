@@ -93,17 +93,10 @@ class evaluator {
   /// Runs the full pipeline on one configuration.
   [[nodiscard]] evaluation evaluate(const configuration& config) const;
 
-  /// Runs the full pipeline on a whole batch through the SoA fast path
-  /// (perf::batch_characterizer): all configurations are transformed, then
-  /// one arena-backed characterizer pass computes every plan's execution
-  /// result and profile before the per-candidate accuracy/objective/
-  /// constraint logic runs. Results are bit-identical to calling
-  /// `evaluate` element-wise (differential-tested); surrogate-backed
-  /// evaluators (`predictor != nullptr`) fall back to exactly that
-  /// element-wise loop, as the GBT path has no batched form.
-  ///
-  /// Throws whatever the first failing element's `evaluate` would throw;
-  /// on any throw no results are returned (all-or-nothing).
+  /// Runs `evaluate` on each configuration in order: exactly the
+  /// element-wise loop, kept as the batch entry point for callers that
+  /// hold configurations by pointer. Throws whatever the first failing
+  /// element's `evaluate` throws; on any throw no results are returned.
   [[nodiscard]] std::vector<evaluation> evaluate_batch(
       std::span<const configuration* const> configs) const;
 
@@ -117,8 +110,7 @@ class evaluator {
 
  private:
   /// Everything downstream of the hardware simulation: per-stage copies,
-  /// accuracy + exits, objective, constraint filter. Shared verbatim by the
-  /// scalar and batched paths so they cannot diverge.
+  /// accuracy + exits, objective, constraint filter.
   [[nodiscard]] evaluation finish(const configuration& config, const dynamic_network& dyn,
                                   const perf::execution_result& exec,
                                   const perf::dynamic_profile& profile) const;

@@ -108,7 +108,7 @@ struct scheduler_options {
   /// and still respect `max_inflight_per_session`; expired followers are
   /// dropped individually while draining. Reports are bit-identical to
   /// serial dispatch (pure evaluations + seed-deterministic search; pinned
-  /// by tests/test_batch_evaluator.cpp), only the stamped fused counters
+  /// by tests/test_batch_fusion.cpp), only the stamped fused counters
   /// differ.
   std::size_t max_fused = 1;
 };

@@ -12,20 +12,12 @@
 
 namespace mapcq::util {
 
-/// Pool construction knobs.
-struct pool_options {
-  std::size_t threads = 1;  ///< worker count (at least one)
-  /// Pin worker i to CPU (i mod online-CPUs), best-effort, on Linux; a
-  /// no-op elsewhere and on affinity errors. Long-lived evaluation pools
-  /// (island engines) opt in so workers stop migrating between cores and
-  /// keep their SoA scratch caches warm.
-  bool pin_threads = false;
-};
-
 /// Simple task-queue thread pool. Tasks are `void()` callables; exceptions
 /// escaping a task terminate (tasks are expected to capture their own error
 /// channel). `wait_idle` blocks until the queue is drained and all workers
-/// are idle, which is how a GA generation barrier is implemented.
+/// are idle — a whole-pool barrier, so callers sharing the pool with other
+/// work await their own tasks instead (see evaluation_engine's per-batch
+/// countdown).
 ///
 /// Ownership: the pool owns its worker threads and the queued tasks; task
 /// closures own (or must outlive-guard) whatever they capture — the pool
@@ -35,16 +27,14 @@ struct pool_options {
 /// thread, including from inside a task (except `wait_idle`, which would
 /// deadlock if a worker waited on itself).
 ///
-/// Blocking: `submit` never blocks beyond the queue mutex; `wait_idle` and
-/// `parallel_for` block the caller; the destructor blocks until running
-/// tasks finish (queued-but-unstarted tasks still run first — it drains,
-/// it does not cancel).
+/// Blocking: `submit` never blocks beyond the queue mutex; `wait_idle`
+/// blocks the caller; the destructor blocks until running tasks finish
+/// (queued-but-unstarted tasks still run first — it drains, it does not
+/// cancel).
 class thread_pool {
  public:
   /// Spawns `threads` workers (at least one).
-  explicit thread_pool(std::size_t threads) : thread_pool(pool_options{threads, false}) {}
-  /// Spawns `opt.threads` workers, optionally pinned (see pool_options).
-  explicit thread_pool(pool_options opt);
+  explicit thread_pool(std::size_t threads);
   /// Drains the queue, then joins every worker (see class comment).
   ~thread_pool();
 
@@ -59,11 +49,6 @@ class thread_pool {
   /// Blocks until every submitted task has finished. Do not call from a
   /// pool worker (self-deadlock).
   void wait_idle();
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Work-steals via an atomic index, so uneven iteration costs balance
-  /// themselves. Blocks the caller; do not call from a pool worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 

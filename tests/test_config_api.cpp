@@ -183,6 +183,9 @@ TEST(config_errors, unknown_keys_are_rejected_by_path) {
   expect_config_error(R"({"engine": {"shard_count": 4}})", "engine.shard_count");
   expect_config_error(R"({"ga": {"island": {"migrantz": 1}}})", "ga.island.migrantz");
   expect_config_error(R"({"scheduler": {"policy": "drop"}})", "scheduler.policy");
+  // Removed engine knobs are unknown keys, not silently ignored ones.
+  expect_config_error(R"({"engine": {"soa_batch": true}})", "engine.soa_batch");
+  expect_config_error(R"({"engine": {"pin_threads": false}})", "engine.pin_threads");
 }
 
 TEST(config_errors, out_of_range_values_are_rejected_by_path) {
@@ -246,6 +249,16 @@ TEST(config_override, bad_overrides_throw_typed_errors) {
   EXPECT_THROW(serving::apply_override(cfg, "ga.nope=1"), config_error);        // unknown key
   EXPECT_THROW(serving::apply_override(cfg, "ga.population=2"), config_error);  // out of range
   EXPECT_THROW(serving::apply_override(cfg, "workers.x=1"), config_error);      // scalar cursor
+  // Removed engine knobs are unknown keys; the error names them.
+  for (const std::string text : {"engine.soa_batch=true", "engine.pin_threads=false"}) {
+    const std::string key = text.substr(0, text.find('='));
+    try {
+      serving::apply_override(cfg, text);
+      ADD_FAILURE() << "accepted removed key " << key;
+    } catch (const config_error& e) {
+      EXPECT_NE(e.path().find(key), std::string::npos) << e.path();
+    }
+  }
   // A failed override leaves the config untouched.
   EXPECT_EQ(serving::dump_config(cfg), serving::dump_config(service_config{}));
 }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -118,7 +119,10 @@ TEST_F(engine_fixture, batch_collapses_duplicates_onto_one_run) {
 }
 
 TEST_F(engine_fixture, concurrent_batch_matches_serial_and_is_deterministic) {
-  const auto configs = random_configs(64);
+  auto configs = random_configs(64);
+  configs.push_back(configs.front());  // in-batch duplicates exercise dedup
+  configs.push_back(configs[3]);
+  configs.push_back(configs[3]);
   engine_options serial_opt;
   serial_opt.threads = 1;
   engine_options parallel_opt;
@@ -126,13 +130,27 @@ TEST_F(engine_fixture, concurrent_batch_matches_serial_and_is_deterministic) {
 
   evaluation_engine serial{eval, serial_opt};
   evaluation_engine parallel{eval, parallel_opt};
+  evaluation_engine async{eval, parallel_opt};
   const auto a = serial.evaluate_batch(configs);
   const auto b = parallel.evaluate_batch(configs);
+  const auto d = async.evaluate_batch_async(configs).get();
+
+  // Hit/miss/dedup accounting depends neither on the thread count nor on
+  // the entry point.
+  EXPECT_EQ(serial.stats().dedup, 3u);
+  for (const evaluation_engine* e : {&parallel, &async}) {
+    EXPECT_EQ(e->stats().hits, serial.stats().hits);
+    EXPECT_EQ(e->stats().misses, serial.stats().misses);
+    EXPECT_EQ(e->stats().dedup, serial.stats().dedup);
+  }
+
   const auto c = parallel.evaluate_batch(configs);  // warm pass
   ASSERT_EQ(a.size(), configs.size());
+  ASSERT_EQ(d.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     expect_identical(b[i], a[i]);
     expect_identical(c[i], a[i]);
+    expect_identical(d[i], a[i]);
   }
   EXPECT_EQ(parallel.stats().hits, configs.size());
 }
@@ -226,6 +244,22 @@ TEST_F(engine_fixture, pass_through_mode_never_caches) {
   EXPECT_EQ(engine.stats().misses, 2u);
   EXPECT_EQ(engine.stats().hits, 0u);
   EXPECT_EQ(engine.size(), 0u);
+}
+
+TEST_F(engine_fixture, evaluator_failure_rethrows_on_the_calling_thread) {
+  auto configs = random_configs(6);
+  configs[4].partition.pop_back();  // group-count mismatch: evaluate() throws
+  configs[4].forward.pop_back();
+  for (const bool memoize : {true, false}) {
+    engine_options opt;
+    opt.threads = 2;
+    opt.memoize = memoize;
+    evaluation_engine engine{eval, opt};
+    EXPECT_THROW((void)engine.evaluate_batch(configs), std::logic_error);
+    EXPECT_THROW((void)engine.evaluate_batch_async(configs).get(), std::logic_error);
+    // The healthy candidates of a memoizing batch still publish.
+    EXPECT_EQ(engine.size(), memoize ? 5u : 0u);
+  }
 }
 
 TEST_F(engine_fixture, ga_reports_cache_stats_and_matches_bypass_run) {

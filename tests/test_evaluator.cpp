@@ -112,6 +112,16 @@ TEST_F(evaluator_fixture, evaluation_is_deterministic) {
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_DOUBLE_EQ(a.avg_energy_mj, b.avg_energy_mj);
   EXPECT_DOUBLE_EQ(a.accuracy_pct, b.accuracy_pct);
+
+  // The batch entry point is the same computation, element by element.
+  const configuration* batch[] = {&c, &c};
+  const std::vector<evaluation> batched = ev.evaluate_batch(batch);
+  ASSERT_EQ(batched.size(), 2u);
+  for (const evaluation& e : batched) {
+    EXPECT_EQ(e.objective, a.objective);
+    EXPECT_EQ(e.avg_energy_mj, a.avg_energy_mj);
+    EXPECT_EQ(e.stage_latency_ms, a.stage_latency_ms);
+  }
 }
 
 TEST_F(evaluator_fixture, surrogate_close_to_analytic) {

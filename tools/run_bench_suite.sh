@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Runs the CI bench suite (the eight acceptance benches plus the filtered
-# scalar-vs-SoA characterizer head-to-head), merges their JSON
+# Runs the CI bench suite (the eight acceptance benches), merges their JSON
 # metric emissions into one BENCH.json artifact, and — when BENCH_BASELINE
 # is set — fails on any gated regression (see tools/compare_bench.py).
 #
@@ -30,12 +29,6 @@ for b in "${benches[@]}"; do
   MAPCQ_BENCH_JSON=$jsonl "$build_dir/bench/$b"
   echo
 done
-
-# Scalar-vs-SoA characterizer head-to-head (informational ns/sublayer);
-# filtered so only the two batch_characterize benchmarks run.
-echo "=== bench: micro_primitives (batch characterizer) ==="
-MAPCQ_BENCH_JSON=$jsonl "$build_dir/bench/micro_primitives" --benchmark_filter='batch_characterize'
-echo
 
 args=("$jsonl" --out "$out")
 if [ -n "$baseline" ]; then
